@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+# The benchmark is its own Cargo workspace, so the workspace run above
+# skips its smoke-size checks (every workload, metric names and units
+# against BENCHMARK.json, replay counters repeating exactly).
+echo "==> cargo test (servebench)"
+cargo test --offline --manifest-path servebench/Cargo.toml
+
 # Same tier-1 suite with every engine forced onto the intra-query
 # worker pool: parallel rounds must be answer- and test-invisible.
 echo "==> cargo test (workspace, KPJ_PAR_THREADS=4)"
@@ -50,6 +56,20 @@ trap 'if [ -n "$SCALE_SERVE_PID" ]; then kill "$SCALE_SERVE_PID" 2>/dev/null || 
 ./target/release/kpj-cli query --graph "$SCALE_DIR/huge.kpj2" \
   --source 17 --targets "$((SCALE_NODES / 2 - 21)),$((SCALE_NODES - 17))" \
   -k 20 --algorithm iterboundi > "$SCALE_DIR/plain.out"
+
+# Landmarks at scale: embed 8 node-major landmark tables (reordered, so
+# the tables go through remap_landmarks too), answer the same query from
+# the cold mmap'd file, and demand the landmark-free answer: landmarks
+# change the work, never the answer.
+echo "==> landmark scale smoke (convert --reorder --landmarks 8 -> cold mmap -> k=20 diff)"
+./target/release/kpj-cli convert --graph "$SCALE_DIR/huge.kpj2" \
+  --out "$SCALE_DIR/huge-lm.kpj2" --to-v2 --reorder --landmarks 8
+./target/release/kpj-cli info --graph "$SCALE_DIR/huge-lm.kpj2"
+./target/release/kpj-cli query --graph "$SCALE_DIR/huge-lm.kpj2" \
+  --source 17 --targets "$((SCALE_NODES / 2 - 21)),$((SCALE_NODES - 17))" \
+  -k 20 --algorithm iterboundi > "$SCALE_DIR/landmarks.out"
+diff "$SCALE_DIR/plain.out" "$SCALE_DIR/landmarks.out"
+rm -f "$SCALE_DIR/huge-lm.kpj2"
 
 # Reduction at scale: contract the same file around the query endpoints,
 # fold in the BFS reorder, cold-load the reduced mmap file, and demand

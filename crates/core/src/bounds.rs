@@ -63,15 +63,18 @@ impl<'q> SourceLb<'q> {
             (None, _) => SourceLb::Zero,
             (Some(idx), [s]) => SourceLb::Single(idx, *s),
             (Some(idx), _) => {
-                let max_dist = (0..idx.len())
-                    .map(|l| {
-                        sources
-                            .iter()
-                            .map(|&s| idx.landmark_distance(l, s))
-                            .max()
-                            .unwrap_or(INFINITE_LENGTH)
-                    })
-                    .collect();
+                // No sources: every landmark proves nothing (∞ is skipped).
+                let start = if sources.is_empty() {
+                    INFINITE_LENGTH
+                } else {
+                    0
+                };
+                let mut max_dist = vec![start; idx.len()];
+                for &s in sources {
+                    for (m, &ds) in max_dist.iter_mut().zip(idx.distances_to(s)) {
+                        *m = (*m).max(ds);
+                    }
+                }
                 SourceLb::Multi {
                     index: idx,
                     max_dist,
@@ -89,11 +92,10 @@ impl<'q> SourceLb<'q> {
             SourceLb::Single(idx, s) => idx.lower_bound(*s, v),
             SourceLb::Multi { index, max_dist } => {
                 let mut lb: Length = 0;
-                for (l, &ms) in max_dist.iter().enumerate() {
+                for (&ms, &dv) in max_dist.iter().zip(index.distances_to(v)) {
                     if ms == INFINITE_LENGTH {
                         continue;
                     }
-                    let dv = index.landmark_distance(l, v);
                     if dv == INFINITE_LENGTH {
                         // Every source is reachable from this landmark, so
                         // if v were reachable from some source the landmark
@@ -167,6 +169,45 @@ mod tests {
             any_positive,
             "bound should not be trivially zero everywhere"
         );
+    }
+
+    #[test]
+    fn multi_source_matches_a_per_landmark_row_reference() {
+        // Directed and sparse, so some table entries are ∞.
+        let mut b = GraphBuilder::new(40);
+        for i in 0..40u32 {
+            b.add_edge(i, (i * 7 + 3) % 40, i % 6).unwrap();
+            if i % 3 != 0 {
+                b.add_edge(i, (i + 1) % 40, 2).unwrap();
+            }
+        }
+        let g = b.build();
+        let idx = LandmarkIndex::build(&g, 5, SelectionStrategy::Farthest, 8);
+        let rows: Vec<Vec<Length>> = idx
+            .landmarks()
+            .iter()
+            .map(|&w| DenseDijkstra::from_source(&g, w).into_dist())
+            .collect();
+        assert!(rows.iter().any(|r| r.contains(&INFINITE_LENGTH)));
+        for sources in [&[][..], &[4, 9], &[0, 13, 27, 39]] {
+            let oracle = SourceLb::new(Some(&idx), sources);
+            for v in g.nodes() {
+                let mut want: Length = 0;
+                for row in &rows {
+                    let ms = sources.iter().map(|&s| row[s as usize]).max();
+                    let ms = ms.unwrap_or(INFINITE_LENGTH);
+                    if ms == INFINITE_LENGTH {
+                        continue;
+                    }
+                    if row[v as usize] == INFINITE_LENGTH {
+                        want = INFINITE_LENGTH;
+                        break;
+                    }
+                    want = want.max(row[v as usize].saturating_sub(ms));
+                }
+                assert_eq!(oracle.lb(v), want, "sources {sources:?} v {v}");
+            }
+        }
     }
 
     #[test]

@@ -55,12 +55,15 @@ pub enum SelectionStrategy {
 
 /// The offline landmark index: `|L|` forward distance tables.
 ///
-/// The tables are a [`SectionBuf`]: heap-backed when built online,
-/// zero-copy views into an mmap'd v2 graph file when loaded by `kpj-store`.
+/// The tables are stored **node-major**, so every bound reads one
+/// contiguous `|L|`-slice per node (128 bytes at `|L| = 16`) rather than
+/// one entry from each of `|L|` far-apart rows. They are a
+/// [`SectionBuf`]: heap-backed when built online, zero-copy views into an
+/// mmap'd v2 graph file when loaded by `kpj-store`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
-    /// Row-major `|L| × n`: `tables[l * n + v] = δ(landmarks[l], v)`.
+    /// Node-major `n × |L|`: `tables[v * |L| + l] = δ(landmarks[l], v)`.
     tables: SectionBuf<Length>,
     node_count: usize,
 }
@@ -74,10 +77,11 @@ impl LandmarkIndex {
         let count = count.min(n);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut landmarks: Vec<NodeId> = Vec::with_capacity(count);
-        let mut tables: Vec<Length> = Vec::with_capacity(count * n);
+        // Row-major `|L| × n` while rows arrive; transposed once at the end.
+        let mut rows: Vec<Length> = Vec::with_capacity(count * n);
 
         if n == 0 || count == 0 {
-            return Self::from_parts(landmarks, tables, n);
+            return Self::from_rows(landmarks, &rows, n);
         }
 
         match strategy {
@@ -91,7 +95,7 @@ impl LandmarkIndex {
                     }
                 }
                 for &l in &landmarks {
-                    tables.extend(DenseDijkstra::from_source(g, l).into_dist());
+                    rows.extend(DenseDijkstra::from_source(g, l).into_dist());
                 }
             }
             SelectionStrategy::Farthest => {
@@ -103,7 +107,7 @@ impl LandmarkIndex {
                 let min_dist_first = DenseDijkstra::from_source(g, first).into_dist();
                 let mut min_dist = min_dist_first.clone();
                 landmarks.push(first);
-                tables.extend(min_dist_first);
+                rows.extend(min_dist_first);
                 while landmarks.len() < count {
                     let next = farthest(&min_dist, &mut rng);
                     if landmarks.contains(&next) {
@@ -116,11 +120,11 @@ impl LandmarkIndex {
                         *m = (*m).min(dv);
                     }
                     landmarks.push(next);
-                    tables.extend(d);
+                    rows.extend(d);
                 }
             }
         }
-        Self::from_parts(landmarks, tables, n)
+        Self::from_rows(landmarks, &rows, n)
     }
 
     /// Like [`build`](Self::build), but shortest-path rows are produced by
@@ -152,10 +156,11 @@ impl LandmarkIndex {
         let batch = batch.max(1);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut landmarks: Vec<NodeId> = Vec::with_capacity(count);
-        let mut tables: Vec<Length> = Vec::with_capacity(count * n);
+        // Row-major `|L| × n` while rows arrive; transposed once at the end.
+        let mut rows: Vec<Length> = Vec::with_capacity(count * n);
 
         if n == 0 || count == 0 {
-            return Self::from_parts(landmarks, tables, n);
+            return Self::from_rows(landmarks, &rows, n);
         }
 
         match strategy {
@@ -168,8 +173,8 @@ impl LandmarkIndex {
                         landmarks.push(v as NodeId);
                     }
                 }
-                tables.resize(landmarks.len() * n, 0);
-                solver(g, &landmarks, &mut tables);
+                rows.resize(landmarks.len() * n, 0);
+                solver(g, &landmarks, &mut rows);
             }
             SelectionStrategy::Farthest => {
                 let start = rng.gen_range(0..n) as NodeId;
@@ -179,7 +184,7 @@ impl LandmarkIndex {
                 let mut min_dist = vec![0; n];
                 solver(g, std::slice::from_ref(&first), &mut min_dist);
                 landmarks.push(first);
-                tables.extend_from_slice(&min_dist);
+                rows.extend_from_slice(&min_dist);
 
                 let mut spec_rows: Vec<Length> = Vec::new();
                 let mut row_buf: Vec<Length> = vec![0; n];
@@ -235,7 +240,7 @@ impl LandmarkIndex {
                             *m = (*m).min(dv);
                         }
                         landmarks.push(next);
-                        tables.extend_from_slice(row);
+                        rows.extend_from_slice(row);
                         if hit.is_none() || used.iter().all(|&u| u) {
                             break; // speculation exhausted or stale: restock
                         }
@@ -243,7 +248,7 @@ impl LandmarkIndex {
                 }
             }
         }
-        Self::from_parts(landmarks, tables, n)
+        Self::from_rows(landmarks, &rows, n)
     }
 
     /// The chosen landmark nodes.
@@ -266,18 +271,20 @@ impl LandmarkIndex {
         self.node_count
     }
 
-    /// The distance table row of landmark `l` (`δ(w_l, ·)`).
+    /// `δ(w_l, v)` for every landmark, indexed by `l`: the contiguous
+    /// `|L|`-slice of node `v`. Exposed so callers can derive custom bound
+    /// combinations (e.g. the GKPJ virtual-source bound
+    /// `max_w ( δ(w,v) − max_{s ∈ V_S} δ(w,s) )`) at one slice per node.
     #[inline]
-    fn row(&self, l: usize) -> &[Length] {
-        &self.tables[l * self.node_count..(l + 1) * self.node_count]
+    pub fn distances_to(&self, v: NodeId) -> &[Length] {
+        let len = self.landmarks.len();
+        &self.tables[v as usize * len..(v as usize + 1) * len]
     }
 
-    /// `δ(w_l, v)` for the `l`-th landmark — the raw table entry. Exposed
-    /// so callers can derive custom bound combinations (e.g. the GKPJ
-    /// virtual-source bound `max_w ( δ(w,v) − max_{s ∈ V_S} δ(w,s) )`).
+    /// `δ(w_l, v)` for the `l`-th landmark — the raw table entry.
     #[inline]
     pub fn landmark_distance(&self, l: usize, v: NodeId) -> Length {
-        self.row(l)[v as usize]
+        self.distances_to(v)[l]
     }
 
     /// `lb(u, v)`: a lower bound on `δ(u, v)`.
@@ -288,13 +295,10 @@ impl LandmarkIndex {
     /// bound is [`INFINITE_LENGTH`].
     pub fn lower_bound(&self, u: NodeId, v: NodeId) -> Length {
         let mut lb: Length = 0;
-        for l in 0..self.landmarks.len() {
-            let row = self.row(l);
-            let du = row[u as usize];
+        for (&du, &dv) in self.distances_to(u).iter().zip(self.distances_to(v)) {
             if du == INFINITE_LENGTH {
                 continue;
             }
-            let dv = row[v as usize];
             if dv == INFINITE_LENGTH {
                 return INFINITE_LENGTH;
             }
@@ -303,7 +307,7 @@ impl LandmarkIndex {
         lb
     }
 
-    /// Reassemble an index from raw parts (used by deserialization).
+    /// Reassemble an index from node-major tables.
     pub(crate) fn from_parts(
         landmarks: Vec<NodeId>,
         tables: Vec<Length>,
@@ -317,8 +321,23 @@ impl LandmarkIndex {
         }
     }
 
+    /// Assemble an index from row-major distance rows
+    /// (`rows[l * n + v] = δ(landmarks[l], v)`, the order Dijkstra produces
+    /// them in) with one node-outer transpose: each output slice is written
+    /// once while the `|L|` rows are read as sequential streams.
+    pub(crate) fn from_rows(landmarks: Vec<NodeId>, rows: &[Length], node_count: usize) -> Self {
+        let len = landmarks.len();
+        debug_assert_eq!(rows.len(), len * node_count);
+        let mut tables = Vec::with_capacity(rows.len());
+        for v in 0..node_count {
+            tables.extend((0..len).map(|l| rows[l * node_count + v]));
+        }
+        Self::from_parts(landmarks, tables, node_count)
+    }
+
     /// Reassemble an index from validated raw parts, e.g. landmark ids
     /// parsed from a v2 file header plus a zero-copy mapped table section.
+    /// `tables` is node-major, as [`tables`](Self::tables) returns it.
     pub fn from_raw(
         landmarks: Vec<NodeId>,
         tables: SectionBuf<Length>,
@@ -346,8 +365,8 @@ impl LandmarkIndex {
         })
     }
 
-    /// The raw row-major `|L| × n` distance table (what the v2 writer
-    /// serializes).
+    /// The raw node-major `n × |L|` distance table,
+    /// `tables[v * |L| + l] = δ(w_l, v)` (what the v2 writer serializes).
     pub fn tables(&self) -> &[Length] {
         &self.tables
     }
@@ -361,16 +380,12 @@ impl LandmarkIndex {
     /// `δ(w, t) = min_{v ∈ V_T} δ(w, v)` for every landmark in
     /// `O(|L| · |V_T|)` (the paper's initialization phase).
     pub fn for_targets(&self, targets: &[NodeId]) -> QueryBounds<'_> {
-        let dist_to_t = (0..self.landmarks.len())
-            .map(|l| {
-                let row = self.row(l);
-                targets
-                    .iter()
-                    .map(|&v| row[v as usize])
-                    .min()
-                    .unwrap_or(INFINITE_LENGTH)
-            })
-            .collect();
+        let mut dist_to_t = vec![INFINITE_LENGTH; self.landmarks.len()];
+        for &v in targets {
+            for (dt, &dv) in dist_to_t.iter_mut().zip(self.distances_to(v)) {
+                *dt = (*dt).min(dv);
+            }
+        }
         QueryBounds {
             index: self,
             dist_to_t,
@@ -411,8 +426,7 @@ impl QueryBounds<'_> {
     /// unreachable from `u`, and 0 when no landmark proves anything.
     pub fn lb_to_targets(&self, u: NodeId) -> Length {
         let mut lb: Length = 0;
-        for (l, &dt) in self.dist_to_t.iter().enumerate() {
-            let du = self.index.row(l)[u as usize];
+        for (&dt, &du) in self.dist_to_t.iter().zip(self.index.distances_to(u)) {
             if du == INFINITE_LENGTH {
                 continue;
             }
@@ -623,6 +637,101 @@ mod tests {
             );
             assert_eq!(batched, reference, "seed={seed}");
         }
+    }
+
+    /// A sparse random digraph: some nodes are unreachable from some
+    /// landmarks, so the `∞` branches of every bound get exercised.
+    fn random_digraph(n: u32, edges: usize, seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n as usize);
+        for _ in 0..edges {
+            b.add_edge(
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..20),
+            )
+            .unwrap();
+        }
+        b.build()
+    }
+
+    /// Eq. (1)/(2) bounds recomputed from per-landmark Dijkstra rows,
+    /// independent of how the index lays its tables out.
+    struct Reference(Vec<Vec<Length>>);
+
+    impl Reference {
+        fn new(g: &Graph, idx: &LandmarkIndex) -> Self {
+            let rows = idx.landmarks().iter();
+            Reference(
+                rows.map(|&w| DenseDijkstra::from_source(g, w).into_dist())
+                    .collect(),
+            )
+        }
+
+        fn lower_bound(&self, u: NodeId, v: NodeId) -> Length {
+            let mut lb = 0;
+            for row in &self.0 {
+                let (du, dv) = (row[u as usize], row[v as usize]);
+                if du == INFINITE_LENGTH {
+                    continue;
+                }
+                if dv == INFINITE_LENGTH {
+                    return INFINITE_LENGTH;
+                }
+                lb = lb.max(dv.saturating_sub(du));
+            }
+            lb
+        }
+
+        fn lb_to_targets(&self, u: NodeId, targets: &[NodeId]) -> Length {
+            let mut lb = 0;
+            for row in &self.0 {
+                let du = row[u as usize];
+                let dt = targets.iter().map(|&t| row[t as usize]).min();
+                let dt = dt.unwrap_or(INFINITE_LENGTH);
+                if du == INFINITE_LENGTH {
+                    continue;
+                }
+                if dt == INFINITE_LENGTH {
+                    return INFINITE_LENGTH;
+                }
+                lb = lb.max(dt.saturating_sub(du));
+            }
+            lb
+        }
+    }
+
+    #[test]
+    fn bounds_match_a_per_landmark_row_reference() {
+        let mut saw_infinite = false;
+        for seed in 0..8u64 {
+            let g = random_digraph(70, 160, seed);
+            for strategy in [SelectionStrategy::Farthest, SelectionStrategy::Random] {
+                let idx = LandmarkIndex::build(&g, 6, strategy, seed);
+                let reference = Reference::new(&g, &idx);
+                saw_infinite |= reference.0.iter().any(|r| r.contains(&INFINITE_LENGTH));
+                for (l, row) in reference.0.iter().enumerate() {
+                    for v in g.nodes() {
+                        assert_eq!(idx.landmark_distance(l, v), row[v as usize]);
+                    }
+                }
+                let targets = [seed as NodeId % 70, 17, 42, 69];
+                let qb = idx.for_targets(&targets);
+                for u in g.nodes() {
+                    let want = reference.lb_to_targets(u, &targets);
+                    assert_eq!(qb.lb_to_targets(u), want, "seed {seed} u {u}");
+                    let eq1 = targets.iter().map(|&t| reference.lower_bound(u, t)).min();
+                    assert_eq!(qb.lb_to_targets_eq1(u, &targets), eq1.unwrap());
+                    for v in g.nodes() {
+                        assert_eq!(idx.lower_bound(u, v), reference.lower_bound(u, v));
+                    }
+                }
+            }
+        }
+        assert!(
+            saw_infinite,
+            "no ∞ entry: the unreachable branches went untested"
+        );
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! `|L| = 16`). Persisting them makes full-scale repro runs restartable.
 //! Same design as `kpj_graph::io::write_binary`: little-endian dump with a
 //! magic/version header, bounds-checked on load.
+//!
+//! The file keeps its row-major layout (`|L|` rows of `n` distances after
+//! the landmark ids); reading and writing convert to and from the
+//! node-major tables the index holds in memory.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 
@@ -53,8 +57,8 @@ impl LandmarkIndex {
             w.write_all(&l.to_le_bytes())?;
         }
         for l in 0..self.len() {
-            for v in 0..self.node_count() {
-                w.write_all(&self.landmark_distance(l, v as NodeId).to_le_bytes())?;
+            for v in 0..self.node_count() as NodeId {
+                w.write_all(&self.landmark_distance(l, v).to_le_bytes())?;
             }
         }
         w.flush()
@@ -74,28 +78,41 @@ impl LandmarkIndex {
                 "unsupported version {version}"
             )));
         }
-        let count = read_u64(&mut r)? as usize;
-        let n = read_u64(&mut r)? as usize;
-        if n >= u32::MAX as usize || count > n.max(1) {
+        let count = read_u64(&mut r)?;
+        let n = read_u64(&mut r)?;
+        if n >= u32::MAX as u64 || count > n.max(1) {
             return Err(PersistError::Format(format!(
                 "implausible header: |L|={count}, n={n}"
             )));
         }
-        let mut landmarks = Vec::with_capacity(count);
+        // `count ≤ n < 2^32`, so the product fits. Nothing is sized from
+        // the header: the ids and the table grow as bytes arrive, so a
+        // corrupt header fails on the first missing byte instead of
+        // allocating what it claims.
+        let entries = count * n;
+        let mut landmarks = Vec::new();
         for _ in 0..count {
             let l = read_u32(&mut r)?;
-            if l as usize >= n {
+            if l as u64 >= n {
                 return Err(PersistError::Format(format!("landmark {l} out of range")));
             }
             landmarks.push(l);
         }
-        let mut tables = vec![0 as Length; count * n];
+        let mut rows: Vec<Length> = Vec::new();
         let mut buf = [0u8; 8];
-        for slot in tables.iter_mut() {
-            r.read_exact(&mut buf)?;
-            *slot = Length::from_le_bytes(buf);
+        for _ in 0..entries {
+            match r.read_exact(&mut buf) {
+                Ok(()) => rows.push(Length::from_le_bytes(buf)),
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    return Err(PersistError::Format(format!(
+                        "truncated: header claims {entries} distances, file holds {}",
+                        rows.len()
+                    )))
+                }
+                Err(e) => return Err(e.into()),
+            }
         }
-        Ok(LandmarkIndex::from_parts(landmarks, tables, n))
+        Ok(LandmarkIndex::from_rows(landmarks, &rows, n as usize))
     }
 }
 
@@ -132,8 +149,7 @@ mod tests {
         let mut buf = Vec::new();
         idx.write_binary(&mut buf).unwrap();
         let idx2 = LandmarkIndex::read_binary(buf.as_slice()).unwrap();
-        assert_eq!(idx2.landmarks(), idx.landmarks());
-        assert_eq!(idx2.node_count(), idx.node_count());
+        assert_eq!(idx2, idx);
         for u in 0..12u32 {
             for v in 0..12u32 {
                 assert_eq!(idx.lower_bound(u, v), idx2.lower_bound(u, v));
@@ -157,6 +173,26 @@ mod tests {
         let mut bad_magic = buf.clone();
         bad_magic[0] = b'X';
         assert!(LandmarkIndex::read_binary(bad_magic.as_slice()).is_err());
+    }
+
+    #[test]
+    fn oversized_header_is_a_format_error_not_an_abort() {
+        // |L| = 2^20 landmark ids (4 MB) claiming n = 2^31: the table would
+        // be 2^51 distances. The file holds a handful.
+        let (count, n) = (1u64 << 20, 1u64 << 31);
+        let mut buf = Vec::with_capacity(4 << 20);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&count.to_le_bytes());
+        buf.extend_from_slice(&n.to_le_bytes());
+        for l in 0..count as u32 {
+            buf.extend_from_slice(&l.to_le_bytes());
+        }
+        buf.extend_from_slice(&[0u8; 64]);
+        match LandmarkIndex::read_binary(buf.as_slice()) {
+            Err(PersistError::Format(m)) => assert!(m.contains("truncated"), "{m}"),
+            other => panic!("want a format error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!
 //! ## The per-row algorithm (Ramalingam–Reps style)
 //!
-//! For one landmark `s` with old distance row `d`:
+//! For one landmark `s` with old distance row `d` — column `l` of the
+//! node-major table, repaired in place on the clone with stride `|L|`, so
+//! no row is copied out or back:
 //!
 //! 1. **Affected region** `R`: every node whose old distance might be
 //!    stale-low after a weight *increase*. Seeded at the heads of
@@ -41,6 +43,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 
 use kpj_graph::{EdgeDelta, Graph, Length, NodeId, INFINITE_LENGTH};
 use kpj_sp::DenseDijkstra;
@@ -59,10 +62,31 @@ pub struct RepairStats {
     pub settled_nodes: u64,
 }
 
+/// One landmark's distance row, repaired in place: the strided column
+/// `l` of the node-major table (`tables[v * stride + l] = δ(w_l, v)`).
+struct Column<'a> {
+    tables: &'a mut [Length],
+    stride: usize,
+    l: usize,
+}
+
+impl Index<NodeId> for Column<'_> {
+    type Output = Length;
+    #[inline]
+    fn index(&self, v: NodeId) -> &Length {
+        &self.tables[v as usize * self.stride + self.l]
+    }
+}
+
+impl IndexMut<NodeId> for Column<'_> {
+    #[inline]
+    fn index_mut(&mut self, v: NodeId) -> &mut Length {
+        &mut self.tables[v as usize * self.stride + self.l]
+    }
+}
+
 /// Reusable per-row scratch so an `|L|`-row repair allocates `O(n)` once.
 struct RowScratch {
-    /// Old distance row, repaired in place.
-    dist: Vec<Length>,
     /// Membership bitmap for the affected region `R`.
     in_region: Vec<bool>,
     /// Nodes currently flagged in `in_region` (for cheap reset).
@@ -76,7 +100,6 @@ struct RowScratch {
 impl RowScratch {
     fn new(n: usize) -> Self {
         RowScratch {
-            dist: Vec::with_capacity(n),
             in_region: vec![false; n],
             region: Vec::new(),
             stack: Vec::new(),
@@ -95,7 +118,13 @@ fn old_weight(deltas: &[EdgeDelta], from: NodeId, to: NodeId, current: u32) -> u
     }
 }
 
-fn repair_row(g: &Graph, deltas: &[EdgeDelta], source: NodeId, s: &mut RowScratch) -> (u64, u64) {
+fn repair_row(
+    g: &Graph,
+    deltas: &[EdgeDelta],
+    source: NodeId,
+    dist: &mut Column<'_>,
+    s: &mut RowScratch,
+) -> (u64, u64) {
     debug_assert!(deltas
         .windows(2)
         .all(|w| (w[0].from, w[0].to) < (w[1].from, w[1].to)));
@@ -110,22 +139,22 @@ fn repair_row(g: &Graph, deltas: &[EdgeDelta], source: NodeId, s: &mut RowScratc
         }
     };
     for d in deltas {
-        let du = s.dist[d.from as usize];
+        let du = dist[d.from];
         if d.new_weight > d.old_weight
             && du != INFINITE_LENGTH
-            && du + d.old_weight as Length == s.dist[d.to as usize]
+            && du + d.old_weight as Length == dist[d.to]
         {
             mark(d.to, s);
         }
     }
     while let Some(u) = s.stack.pop() {
-        let du = s.dist[u as usize];
+        let du = dist[u];
         if du == INFINITE_LENGTH {
             continue;
         }
         for e in g.out_edges(u) {
             let w_old = old_weight(deltas, u, e.to, e.weight);
-            if du + w_old as Length == s.dist[e.to as usize] {
+            if du + w_old as Length == dist[e.to] {
                 mark(e.to, s);
             }
         }
@@ -134,7 +163,7 @@ fn repair_row(g: &Graph, deltas: &[EdgeDelta], source: NodeId, s: &mut RowScratc
     // Phase 2: reset the region and seed the heap.
     s.heap.clear();
     for &v in &s.region {
-        s.dist[v as usize] = INFINITE_LENGTH;
+        dist[v] = INFINITE_LENGTH;
     }
     for &v in &s.region {
         let mut best = INFINITE_LENGTH;
@@ -143,7 +172,7 @@ fn repair_row(g: &Graph, deltas: &[EdgeDelta], source: NodeId, s: &mut RowScratc
             if s.in_region[u as usize] {
                 continue;
             }
-            let du = s.dist[u as usize];
+            let du = dist[u];
             if du != INFINITE_LENGTH {
                 best = best.min(du + e.weight as Length);
             }
@@ -154,10 +183,10 @@ fn repair_row(g: &Graph, deltas: &[EdgeDelta], source: NodeId, s: &mut RowScratc
     }
     for d in deltas {
         if d.new_weight < d.old_weight && !s.in_region[d.from as usize] {
-            let du = s.dist[d.from as usize];
+            let du = dist[d.from];
             if du != INFINITE_LENGTH {
                 let cand = du + d.new_weight as Length;
-                if cand < s.dist[d.to as usize] {
+                if cand < dist[d.to] {
                     s.heap.push(Reverse((cand, d.to)));
                 }
             }
@@ -165,15 +194,15 @@ fn repair_row(g: &Graph, deltas: &[EdgeDelta], source: NodeId, s: &mut RowScratc
     }
     // Phase 3: Dijkstra to fixpoint with warm-started upper bounds.
     let mut settled = 0u64;
-    while let Some(Reverse((dist, v))) = s.heap.pop() {
-        if dist >= s.dist[v as usize] {
+    while let Some(Reverse((dv, v))) = s.heap.pop() {
+        if dv >= dist[v] {
             continue;
         }
-        s.dist[v as usize] = dist;
+        dist[v] = dv;
         settled += 1;
         for e in g.out_edges(v) {
-            let cand = dist + e.weight as Length;
-            if cand < s.dist[e.to as usize] {
+            let cand = dv + e.weight as Length;
+            if cand < dist[e.to] {
                 s.heap.push(Reverse((cand, e.to)));
             }
         }
@@ -212,13 +241,15 @@ impl LandmarkIndex {
         if !sorted.is_empty() {
             let mut scratch = RowScratch::new(n);
             for (l, &source) in self.landmarks().iter().enumerate() {
-                let row = &mut tables[l * n..(l + 1) * n];
-                scratch.dist.clear();
-                scratch.dist.extend_from_slice(row);
-                let (affected, settled) = repair_row(updated, &sorted, source, &mut scratch);
+                let mut column = Column {
+                    tables: &mut tables,
+                    stride: self.len(),
+                    l,
+                };
+                let (affected, settled) =
+                    repair_row(updated, &sorted, source, &mut column, &mut scratch);
                 stats.affected_nodes += affected;
                 stats.settled_nodes += settled;
-                row.copy_from_slice(&scratch.dist);
             }
         }
         (
@@ -233,11 +264,11 @@ impl LandmarkIndex {
     pub fn rebuilt(&self, g: &Graph) -> LandmarkIndex {
         let n = self.node_count();
         assert_eq!(n, g.node_count(), "weight updates never change topology");
-        let mut tables = Vec::with_capacity(self.landmarks().len() * n);
+        let mut rows = Vec::with_capacity(self.landmarks().len() * n);
         for &l in self.landmarks() {
-            tables.extend(DenseDijkstra::from_source(g, l).into_dist());
+            rows.extend(DenseDijkstra::from_source(g, l).into_dist());
         }
-        LandmarkIndex::from_parts(self.landmarks().to_vec(), tables, n)
+        LandmarkIndex::from_rows(self.landmarks().to_vec(), &rows, n)
     }
 }
 

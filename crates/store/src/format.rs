@@ -60,8 +60,10 @@ pub mod section_id {
     pub const CATEGORIES: u32 = 5;
     /// Landmark ids: `count u32, count × u32`.
     pub const LANDMARK_META: u32 = 6;
-    /// Landmark distance tables: `|L| × n × u64`, row-major.
-    pub const LANDMARK_TABLES: u32 = 7;
+    /// Landmark distance tables as written before they became node-major:
+    /// `|L| × n × u64`, row-major. Read as node-major they would give
+    /// inadmissible bounds, so readers refuse a file that carries them.
+    pub const LEGACY_LANDMARK_TABLES_ROW_MAJOR: u32 = 7;
     /// Locality remap, external → internal: `n × u32`.
     pub const REMAP_OLD_TO_NEW: u32 = 8;
     /// Locality remap, internal → external: `n × u32`.
@@ -79,6 +81,9 @@ pub mod section_id {
     /// Reduction: cumulative weight from chain tail to each interior:
     /// same length as [`REDUCE_EXP_NODES`].
     pub const REDUCE_EXP_PREFIX: u32 = 14;
+    /// Landmark distance tables: `n × |L| × u64`, node-major
+    /// (`tables[v * |L| + l] = δ(w_l, v)`), mapped zero-copy.
+    pub const LANDMARK_TABLES: u32 = 15;
 }
 
 /// Round `pos` up to the next [`SECTION_ALIGN`] boundary.

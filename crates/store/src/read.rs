@@ -296,6 +296,13 @@ pub fn open_v2(path: &Path) -> Result<StoreBundle, StoreError> {
         None => None,
     };
 
+    if find(section_id::LEGACY_LANDMARK_TABLES_ROW_MAJOR).is_some() {
+        return Err(bad_content(format!(
+            "section {} holds row-major landmark tables from an older kpj; \
+             re-run `kpj-cli convert` on the file to rewrite them node-major",
+            section_id::LEGACY_LANDMARK_TABLES_ROW_MAJOR
+        )));
+    }
     let landmarks = match find(section_id::LANDMARK_META) {
         Some(meta) => {
             let payload = &bytes[meta.offset as usize..(meta.offset + meta.len) as usize];

@@ -110,7 +110,8 @@ pub fn remap_reduction(red: &Reduction, old: &Graph, r: &Reordered) -> Reduction
 }
 
 /// Translate a landmark index into internal ids: landmark ids are mapped
-/// and each table row is permuted so `tables[l][new] = δ(w_l, old)`.
+/// and whole node slices are permuted, so the `|L|`-slice of `new` is the
+/// old slice of `old`.
 pub fn remap_landmarks(lm: &LandmarkIndex, remap: &NodeRemap) -> LandmarkIndex {
     let n = lm.node_count();
     assert_eq!(n, remap.len(), "landmark index and remap disagree on n");
@@ -119,14 +120,9 @@ pub fn remap_landmarks(lm: &LandmarkIndex, remap: &NodeRemap) -> LandmarkIndex {
         .iter()
         .map(|&w| remap.to_internal(w).expect("landmark id in range"))
         .collect();
-    let old_tables = lm.tables();
-    let mut tables = vec![0u64; old_tables.len()];
-    for l in 0..lm.len() {
-        let src = &old_tables[l * n..(l + 1) * n];
-        let dst = &mut tables[l * n..(l + 1) * n];
-        for (old, &d) in src.iter().enumerate() {
-            dst[remap.to_internal(old as NodeId).unwrap() as usize] = d;
-        }
+    let mut tables = Vec::with_capacity(lm.tables().len());
+    for &old in remap.new_to_old() {
+        tables.extend_from_slice(lm.distances_to(old));
     }
     LandmarkIndex::from_raw(landmarks, tables.into(), n).expect("permuted tables keep their shape")
 }

@@ -449,6 +449,90 @@ fn remapped_landmarks_give_identical_bounds() {
 }
 
 #[test]
+fn landmark_tables_are_layout_independent_through_store_and_remap() {
+    for seed in 0..6u64 {
+        let g = random_graph(120, 480, seed);
+        let lm = LandmarkIndex::build(&g, 5, SelectionStrategy::Farthest, seed);
+        let rows: Vec<_> = lm
+            .landmarks()
+            .iter()
+            .map(|&w| DenseDijkstra::from_source(&g, w))
+            .collect();
+        for (l, row) in rows.iter().enumerate() {
+            for v in g.nodes() {
+                assert_eq!(lm.landmark_distance(l, v), row.dist(v), "seed {seed}");
+            }
+        }
+
+        let path = tmp_path(&format!("lm-layout-{seed}"));
+        write_to_file(&path, &g, None, Some(&lm), None);
+        let mapped = open_v2(&path).unwrap().landmarks.unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            mapped.is_mapped(),
+            "landmark tables must be mapped zero-copy"
+        );
+        assert_eq!(
+            mapped, lm,
+            "seed {seed}: write_store -> open_v2 changed the index"
+        );
+
+        let r = reorder(&g);
+        let remapped = kpj_store::remap_landmarks(&lm, &r.remap);
+        for (l, &w) in lm.landmarks().iter().enumerate() {
+            assert_eq!(remapped.landmarks()[l], r.remap.to_internal(w).unwrap());
+            for v in g.nodes() {
+                let new_v = r.remap.to_internal(v).unwrap();
+                assert_eq!(
+                    remapped.landmark_distance(l, new_v),
+                    lm.landmark_distance(l, v),
+                    "seed {seed}: remap moved δ(w_{l}, {v})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn legacy_row_major_landmark_section_is_refused() {
+    // Forge a file as an older writer laid it out: the landmark tables
+    // row-major under section id 7 instead of node-major under its
+    // successor.
+    let g = symmetric_graph(60, 4);
+    let lm = LandmarkIndex::build(&g, 3, SelectionStrategy::Farthest, 1);
+    let mut buf = Cursor::new(Vec::new());
+    write_store(&mut buf, &g, None, Some(&lm), None, None).unwrap();
+    let mut bytes = buf.into_inner();
+    let count = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| 64 + i * 24)
+        .find(|&at| {
+            u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+                == kpj_store::section_id::LANDMARK_TABLES
+        })
+        .expect("a landmark table section");
+    let offset = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    let mut at = offset;
+    for l in 0..lm.len() {
+        for v in g.nodes() {
+            bytes[at..at + 8].copy_from_slice(&lm.landmark_distance(l, v).to_le_bytes());
+            at += 8;
+        }
+    }
+    bytes[entry..entry + 4]
+        .copy_from_slice(&kpj_store::section_id::LEGACY_LANDMARK_TABLES_ROW_MAJOR.to_le_bytes());
+    rewrite_meta_checksum(&mut bytes);
+    match open_bytes(&bytes, "legacy-lm") {
+        Err(StoreError::Graph(e)) => {
+            let msg = e.to_string();
+            assert!(msg.contains("section 7"), "{msg}");
+            assert!(msg.contains("kpj-cli convert"), "{msg}");
+        }
+        other => panic!("want a structured refusal, got {other:?}"),
+    }
+}
+
+#[test]
 fn reduction_sections_roundtrip_zero_copy() {
     // A corridor-heavy graph: reduce, write with the reduction sections,
     // reopen, and the loaded (mapped) reduction must behave identically.
