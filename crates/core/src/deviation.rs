@@ -13,7 +13,7 @@
 //! holds handles, not node vectors, so maintaining `O(k·n)` eager
 //! candidates costs no per-candidate allocation.
 
-use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
+use kpj_graph::scratch::{SearchLabels, TimestampedSet};
 use kpj_graph::{Length, NodeId, PathId, PathStore, INFINITE_LENGTH};
 use kpj_heap::IndexedMinHeap;
 use kpj_obs::Stage;
@@ -56,9 +56,7 @@ impl<'a> DeviationMode<'a> {
 #[derive(Debug)]
 pub(crate) struct CandidateScratch {
     heap: IndexedMinHeap<Length>,
-    dist: TimestampedMap<Length>,
-    parent: TimestampedMap<NodeId>,
-    settled: TimestampedSet,
+    labels: SearchLabels,
     /// Marks the search chain during tail-simplicity tests.
     chain_mark: TimestampedSet,
 }
@@ -67,9 +65,7 @@ impl CandidateScratch {
     pub(crate) fn new(n: usize) -> Self {
         CandidateScratch {
             heap: IndexedMinHeap::new(n),
-            dist: TimestampedMap::new(n, INFINITE_LENGTH),
-            parent: TimestampedMap::new(n, NO_PARENT),
-            settled: TimestampedSet::new(n),
+            labels: SearchLabels::new(n),
             chain_mark: TimestampedSet::new(n),
         }
     }
@@ -242,20 +238,18 @@ fn candidate_with_spt(
     let allow_trivial = !tree.emitted(vertex);
 
     cand.heap.clear();
-    cand.dist.reset();
-    cand.parent.reset();
-    cand.settled.clear();
+    cand.labels.reset();
 
     // Seed exactly like `subspace_search`.
     if u == VIRTUAL_NODE {
         for &f in ctx.fanout {
             if !tree.is_excluded(vertex, f) && spt.reached(f) {
-                cand.dist.set(f as usize, 0);
+                cand.labels.set_root(f as usize, 0);
                 cand.heap.push_or_decrease(f as usize, spt.dist(f));
             }
         }
     } else if spt.reached(u) {
-        cand.dist.set(u as usize, plen);
+        cand.labels.set_root(u as usize, plen);
         cand.heap
             .push_or_decrease(u as usize, plen.saturating_add(spt.dist(u)));
     }
@@ -268,12 +262,11 @@ fn candidate_with_spt(
             break None;
         };
         let v = vu as NodeId;
-        cand.settled.insert(vu);
+        let dv = cand.labels.settle(vu);
         settled_count += 1;
         if settled_count.is_multiple_of(kpj_sp::CANCEL_POLL_STRIDE) && ctx.deadline.expired() {
             break None;
         }
-        let dv = cand.dist.get(vu);
 
         // Splice test: Gao tests every settled node; Pascoal only the
         // first pop(s) (the seeds — after that the splice test is off and
@@ -304,7 +297,7 @@ fn candidate_with_spt(
         for e in ctx.g.out_edges(v) {
             relaxed += 1;
             let w = e.to as usize;
-            if cand.settled.contains(w)
+            if cand.labels.is_settled(w)
                 || scratch.prefix_set.contains(w)
                 || (v == u && tree.is_excluded(vertex, e.to))
                 || !spt.reached(e.to)
@@ -312,9 +305,8 @@ fn candidate_with_spt(
                 continue;
             }
             let nd = dv.saturating_add(e.weight as Length);
-            if nd < cand.dist.get(w) {
-                cand.dist.set(w, nd);
-                cand.parent.set(w, v);
+            if nd < cand.labels.dist(w) {
+                cand.labels.set(w, nd, v);
                 cand.heap
                     .push_or_decrease(w, nd.saturating_add(spt.dist(e.to)));
             }
@@ -346,7 +338,7 @@ fn tail_len_if_simple(
     let mut cur = v;
     loop {
         cand.chain_mark.insert(cur as usize);
-        let p = cand.parent.get(cur as usize);
+        let p = cand.labels.parent(cur as usize);
         if p == NO_PARENT {
             break;
         }
@@ -390,14 +382,14 @@ fn assemble_with_tail(
     scratch.chain_buf.clear();
     scratch.chain_buf.push(v);
     let mut cur = v;
-    while cand.parent.get(cur as usize) != NO_PARENT {
-        cur = cand.parent.get(cur as usize);
+    while cand.labels.parent(cur as usize) != NO_PARENT {
+        cur = cand.labels.parent(cur as usize);
         scratch.chain_buf.push(cur);
     }
     let chain_len = scratch.chain_buf.len();
     let mut id: Option<PathId> = None;
     for &x in scratch.chain_buf.iter().rev() {
-        id = Some(store.push(id, x, cand.dist.get(x as usize)));
+        id = Some(store.push(id, x, cand.labels.dist(x as usize)));
     }
     // SPT tail after v, cumulative lengths measured from the path start.
     let mut cur = v;

@@ -10,7 +10,7 @@
 //! the *exact* `d_s(v)` as the source-side bound.
 //!
 //! The queue `Q_T` persists across `grow` calls within one query; a reset
-//! is `O(touched)`.
+//! is `O(1)` for the labels plus the entries still queued.
 //!
 //! **Parallel rounds.** With `par_threads >= 2` the store is *frozen
 //! during a round*: every `grow`/τ update happens on the main thread
@@ -20,7 +20,7 @@
 //! sound — no worker can observe a tree that differs from the one the
 //! sequential schedule would have seen.
 
-use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
+use kpj_graph::scratch::{SearchLabels, TimestampedSet};
 use kpj_graph::{Graph, Length, NodeId, PathId, PathStore, INFINITE_LENGTH};
 use kpj_heap::IndexedMinHeap;
 use kpj_sp::NO_PARENT;
@@ -36,9 +36,7 @@ pub(crate) struct SptiStore {
     heap: IndexedMinHeap<Length>,
     /// Exact `d_s(v) = δ(sources, v)` for settled nodes; tentative labels
     /// for frontier nodes.
-    dist: TimestampedMap<Length>,
-    parent: TimestampedMap<NodeId>,
-    settled: TimestampedSet,
+    labels: SearchLabels,
     /// `D`: destinations currently inside `SPT_I` (Alg. 7 line 4).
     dest_in_spt: Vec<NodeId>,
     /// The frontier is exhausted: `SPT_I` covers everything reachable.
@@ -50,9 +48,7 @@ impl SptiStore {
     pub(crate) fn new(n: usize) -> Self {
         SptiStore {
             heap: IndexedMinHeap::new(n),
-            dist: TimestampedMap::new(n, INFINITE_LENGTH),
-            parent: TimestampedMap::new(n, NO_PARENT),
-            settled: TimestampedSet::new(n),
+            labels: SearchLabels::new(n),
             dest_in_spt: Vec::new(),
             complete: false,
             settled_count: 0,
@@ -74,9 +70,7 @@ impl SptiStore {
         stats: &mut QueryStats,
     ) -> Option<FoundPath> {
         self.heap.clear();
-        self.dist.reset();
-        self.parent.reset();
-        self.settled.clear();
+        self.labels.reset();
         self.dest_in_spt.clear();
         self.complete = false;
         self.settled_count = 0;
@@ -86,8 +80,8 @@ impl SptiStore {
             if h == INFINITE_LENGTH {
                 continue;
             }
-            if self.dist.get(s as usize) > 0 {
-                self.dist.set(s as usize, 0);
+            if self.labels.dist(s as usize) > 0 {
+                self.labels.set_root(s as usize, 0);
                 self.heap.push_or_decrease(s as usize, h);
             }
         }
@@ -140,25 +134,23 @@ impl SptiStore {
         to_targets: &TargetsLb<'_>,
     ) -> Option<NodeId> {
         let (u, _) = self.heap.pop()?;
-        self.settled.insert(u);
+        let du = self.labels.settle(u);
         self.settled_count += 1;
         if target_set.contains(u) {
             self.dest_in_spt.push(u as NodeId);
         }
-        let du = self.dist.get(u);
         for e in g.out_edges(u as NodeId) {
             let w = e.to as usize;
-            if self.settled.contains(w) {
+            if self.labels.is_settled(w) {
                 continue;
             }
             let nd = du.saturating_add(e.weight as Length);
-            if nd < self.dist.get(w) {
+            if nd < self.labels.dist(w) {
                 let h = to_targets.lb(e.to);
                 if h == INFINITE_LENGTH {
                     continue;
                 }
-                self.dist.set(w, nd);
-                self.parent.set(w, u as NodeId);
+                self.labels.set(w, nd, u as NodeId);
                 self.heap.push_or_decrease(w, nd.saturating_add(h));
             }
         }
@@ -167,7 +159,7 @@ impl SptiStore {
 
     /// The reverse-orientation initial path ending at destination `d`.
     fn initial_found_path(&self, path_store: &mut PathStore, d: NodeId) -> FoundPath {
-        let total = self.dist.get(d as usize);
+        let total = self.labels.dist(d as usize);
         // Walk parents back to the source: d, …, s — which *is* the tree
         // orientation (virtual target root first), so the chain goes into
         // the arena in walk order with cumulative lengths from the virtual
@@ -176,9 +168,9 @@ impl SptiStore {
         let mut count = 0u32;
         let mut cur = d;
         loop {
-            id = Some(path_store.push(id, cur, total - self.dist.get(cur as usize)));
+            id = Some(path_store.push(id, cur, total - self.labels.dist(cur as usize)));
             count += 1;
-            let p = self.parent.get(cur as usize);
+            let p = self.labels.parent(cur as usize);
             if p == NO_PARENT {
                 break;
             }
@@ -195,11 +187,8 @@ impl SptiStore {
     /// Exact `d_s(v)` if `v` is in `SPT_I`.
     #[inline]
     pub(crate) fn exact_dist(&self, v: NodeId) -> Option<Length> {
-        if self.settled.contains(v as usize) {
-            Some(self.dist.get(v as usize))
-        } else {
-            None
-        }
+        let v = v as usize;
+        self.labels.is_settled(v).then(|| self.labels.dist(v))
     }
 
     /// True once the frontier is exhausted (`SPT_I` is maximal).

@@ -17,7 +17,7 @@
 //! it by `&`-reference across threads — the `Sync` bound on the oracle
 //! closures in `paradigms.rs` is exactly this read-only sharing contract.
 
-use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
+use kpj_graph::scratch::{SearchLabels, TimestampedSet};
 use kpj_graph::{Graph, Length, NodeId, PathId, PathStore, INFINITE_LENGTH};
 use kpj_heap::IndexedMinHeap;
 use kpj_sp::NO_PARENT;
@@ -31,11 +31,9 @@ use crate::stats::QueryStats;
 #[derive(Debug)]
 pub(crate) struct SptpStore {
     heap: IndexedMinHeap<Length>,
-    /// Exact `δ(v, V_T)` for settled nodes.
-    dist: TimestampedMap<Length>,
-    /// Next hop of the shortest `v → V_T` path (tree parent).
-    parent: TimestampedMap<NodeId>,
-    settled: TimestampedSet,
+    /// Exact `δ(v, V_T)` for settled nodes; the parent is the next hop of
+    /// the shortest `v → V_T` path.
+    labels: SearchLabels,
     settled_count: usize,
 }
 
@@ -43,9 +41,7 @@ impl SptpStore {
     pub(crate) fn new(n: usize) -> Self {
         SptpStore {
             heap: IndexedMinHeap::new(n),
-            dist: TimestampedMap::new(n, INFINITE_LENGTH),
-            parent: TimestampedMap::new(n, NO_PARENT),
-            settled: TimestampedSet::new(n),
+            labels: SearchLabels::new(n),
             settled_count: 0,
         }
     }
@@ -69,9 +65,7 @@ impl SptpStore {
         stats: &mut QueryStats,
     ) -> Option<FoundPath> {
         self.heap.clear();
-        self.dist.reset();
-        self.parent.reset();
-        self.settled.clear();
+        self.labels.reset();
         self.settled_count = 0;
 
         for &t in targets {
@@ -79,34 +73,32 @@ impl SptpStore {
             if h == INFINITE_LENGTH {
                 continue;
             }
-            if self.dist.get(t as usize) > 0 {
-                self.dist.set(t as usize, 0);
+            if self.labels.dist(t as usize) > 0 {
+                self.labels.set_root(t as usize, 0);
                 self.heap.push_or_decrease(t as usize, h);
             }
         }
 
         let mut goal: Option<NodeId> = None;
         while let Some((u, _)) = self.heap.pop() {
-            self.settled.insert(u);
+            let du = self.labels.settle(u);
             self.settled_count += 1;
-            let du = self.dist.get(u);
             if source_set.contains(u) {
                 goal = Some(u as NodeId);
                 break;
             }
             for e in g.in_edges(u as NodeId) {
                 let w = e.to as usize;
-                if self.settled.contains(w) {
+                if self.labels.is_settled(w) {
                     continue;
                 }
                 let nd = du.saturating_add(e.weight as Length);
-                if nd < self.dist.get(w) {
+                if nd < self.labels.dist(w) {
                     let h = source_lb.lb(e.to);
                     if h == INFINITE_LENGTH {
                         continue;
                     }
-                    self.dist.set(w, nd);
-                    self.parent.set(w, u as NodeId);
+                    self.labels.set(w, nd, u as NodeId);
                     self.heap.push_or_decrease(w, nd.saturating_add(h));
                 }
             }
@@ -119,14 +111,14 @@ impl SptpStore {
         // with cumulative lengths measured from the source side. The walk
         // order (s first, then its SPT parents towards `V_T`) is already
         // the tree orientation, so no staging buffer is needed.
-        let total = self.dist.get(s as usize);
+        let total = self.labels.dist(s as usize);
         let mut id: Option<PathId> = None;
         let mut count = 0u32;
         let mut cur = s;
         loop {
-            id = Some(path_store.push(id, cur, total - self.dist.get(cur as usize)));
+            id = Some(path_store.push(id, cur, total - self.labels.dist(cur as usize)));
             count += 1;
-            let p = self.parent.get(cur as usize);
+            let p = self.labels.parent(cur as usize);
             if p == NO_PARENT {
                 break;
             }
@@ -144,11 +136,8 @@ impl SptpStore {
     /// Exact `δ(v, V_T)` if `v` is in the partial SPT.
     #[inline]
     pub(crate) fn exact_dist(&self, v: NodeId) -> Option<Length> {
-        if self.settled.contains(v as usize) {
-            Some(self.dist.get(v as usize))
-        } else {
-            None
-        }
+        let v = v as usize;
+        self.labels.is_settled(v).then(|| self.labels.dist(v))
     }
 
     /// Number of nodes in the partial SPT.

@@ -8,9 +8,9 @@
 //! * [`CategoryIndex`] — the inverted index from categories (the paper's
 //!   "conceptual nodes") to the physical nodes that belong to them.
 //! * [`Path`] — a node sequence plus its length, with validation helpers.
-//! * [`scratch`] — epoch-stamped scratch arrays (`TimestampedSet`,
-//!   `TimestampedMap`) that let per-query searches run without clearing
-//!   `O(n)` state between queries.
+//! * [`scratch`] — epoch-stamped scratch arrays (`TimestampedSet`, and
+//!   `SearchLabels`, one distance/parent/settled record per node) that let
+//!   per-query searches run without clearing `O(n)` state between queries.
 //! * [`io`] — readers/writers for the DIMACS `.gr` format used by the
 //!   paper's datasets, plus a small text format for category files.
 //!

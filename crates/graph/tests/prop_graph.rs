@@ -2,7 +2,7 @@
 //! a naive adjacency model, I/O roundtrips, and scratch-structure
 //! invariants, over proptest-generated inputs.
 
-use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
+use kpj_graph::scratch::{SearchLabels, TimestampedSet, NO_PARENT};
 use kpj_graph::{io, GraphBuilder, NodeId, Weight};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -114,24 +114,48 @@ proptest! {
     }
 
     #[test]
-    fn timestamped_map_matches_hashmap(
-        ops in vec((0..2u8, 0..30usize, 0..1000u64), 1..300),
+    fn search_labels_match_hashmap(
+        ops in vec((0..5u8, 0..30usize, 0..1000u64), 1..300),
     ) {
-        let mut tm = TimestampedMap::new(30, u64::MAX);
-        let mut model = std::collections::HashMap::new();
+        let mut labels = SearchLabels::new(30);
+        // key -> (dist, parent, settled)
+        let mut model: std::collections::HashMap<usize, (u64, NodeId, bool)> =
+            std::collections::HashMap::new();
         for (op, key, value) in ops {
+            let settled = model.get(&key).is_some_and(|l| l.2);
             match op {
-                0 => {
-                    tm.set(key, value);
-                    model.insert(key, value);
+                0 | 1 if !settled => {
+                    let parent = (value % 30) as NodeId;
+                    labels.set(key, value, parent);
+                    model.insert(key, (value, parent, false));
                 }
-                _ => {
-                    tm.reset();
+                2 if !settled => {
+                    labels.set_root(key, value);
+                    let parent = model.get(&key).map_or(NO_PARENT, |l| l.1);
+                    model.insert(key, (value, parent, false));
+                }
+                3 => {
+                    if let Some(l) = model.get_mut(&key) {
+                        if !l.2 {
+                            prop_assert_eq!(labels.settle(key), l.0);
+                            l.2 = true;
+                        }
+                    }
+                }
+                4 => {
+                    labels.reset();
                     model.clear();
                 }
+                _ => {}
             }
-            prop_assert_eq!(tm.get(key), model.get(&key).copied().unwrap_or(u64::MAX));
-            prop_assert_eq!(tm.is_set(key), model.contains_key(&key));
+            for v in 0..30 {
+                let (dist, parent, settled) =
+                    model.get(&v).copied().unwrap_or((u64::MAX, NO_PARENT, false));
+                prop_assert_eq!(labels.dist(v), dist);
+                prop_assert_eq!(labels.parent(v), parent);
+                prop_assert_eq!(labels.is_labeled(v), model.contains_key(&v));
+                prop_assert_eq!(labels.is_settled(v), settled);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 const ABSENT: u32 = u32::MAX;
 
 /// A k-ary min-heap over items `0..capacity` with `O(log n)` push, pop
-/// and decrease-key, and `O(1)` membership/key lookup.
+/// and decrease-key, and `O(1)` membership lookup.
 ///
 /// The arity `A` is a compile-time constant. Binary (`A = 2`) is the
 /// classic layout; wider heaps trade a slightly costlier `sift_down`
@@ -14,16 +14,20 @@ const ABSENT: u32 = u32::MAX;
 /// the sift-up depth. `crates/heap/examples/heap_arity.rs` measures the
 /// trade-off.
 ///
-/// Tie-breaking is arity-independent in the cases this workspace relies
-/// on: among equal keys the earlier heap slot wins, and for `A = 2` the
-/// layout is bit-identical to the previous binary implementation.
+/// Keys live inline next to their items (`heap: Vec<(K, u32)>`), so a
+/// sift compares contiguous entries and never reads a per-item key
+/// array; `pos` is the only other array. Sifts move a hole rather than
+/// swapping. Comparisons are strict: an entry moves up only past a
+/// strictly larger parent, and moves down only to a strictly smaller
+/// child, the earliest such child among equal minima. Pop order, ties
+/// included, is therefore a function of the operation stream alone.
 ///
 /// Each item can be on the heap at most once;
 /// [`push_or_decrease`](IndexedKaryHeap::push_or_decrease)
 /// (the Dijkstra label-correction step) either inserts the item or lowers
-/// its key, refusing increases. Popped items remember their final key until
-/// [`clear`](IndexedKaryHeap::clear) — callers use this as the "settled
-/// distance" table when convenient.
+/// its key, refusing increases. A popped item's key is returned by
+/// [`pop`](IndexedKaryHeap::pop) and not kept: callers hold settled
+/// distances in their own labels.
 ///
 /// ```
 /// use kpj_heap::IndexedMinHeap;
@@ -38,21 +42,17 @@ const ABSENT: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexedKaryHeap<K: Ord + Copy, const A: usize> {
-    /// Heap array of item ids, ordered by `keys`.
-    heap: Vec<u32>,
-    /// `pos[item]` = index in `heap`, or `ABSENT`.
+    /// Heap array of `(key, item)` entries, ordered by key.
+    heap: Vec<(K, u32)>,
+    /// `pos[item]` = index in `heap`, or `ABSENT` (never pushed since the
+    /// last `clear`, or popped).
     pos: Vec<u32>,
-    /// `keys[item]` = current (or final, if popped) key. Only meaningful for
-    /// items touched since the last `clear`.
-    keys: Vec<K>,
-    /// Items touched since the last `clear`, for cheap clearing.
-    touched: Vec<u32>,
 }
 
 /// The binary special case — the workspace-wide default heap.
 pub type IndexedMinHeap<K> = IndexedKaryHeap<K, 2>;
 
-impl<K: Ord + Copy + Default, const A: usize> IndexedKaryHeap<K, A> {
+impl<K: Ord + Copy, const A: usize> IndexedKaryHeap<K, A> {
     /// An empty heap over items `0..capacity`.
     pub fn new(capacity: usize) -> Self {
         const { assert!(A >= 2, "heap arity must be at least 2") };
@@ -63,8 +63,6 @@ impl<K: Ord + Copy + Default, const A: usize> IndexedKaryHeap<K, A> {
         IndexedKaryHeap {
             heap: Vec::new(),
             pos: vec![ABSENT; capacity],
-            keys: vec![K::default(); capacity],
-            touched: Vec::new(),
         }
     }
 
@@ -92,19 +90,10 @@ impl<K: Ord + Copy + Default, const A: usize> IndexedKaryHeap<K, A> {
         self.pos[item] != ABSENT
     }
 
-    /// The current key of a queued item, or the final key of a popped item
-    /// (meaningless for items untouched since the last clear).
-    #[inline]
-    pub fn key(&self, item: usize) -> K {
-        self.keys[item]
-    }
-
     /// The minimum entry without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(usize, K)> {
-        self.heap
-            .first()
-            .map(|&i| (i as usize, self.keys[i as usize]))
+        self.heap.first().map(|&(k, i)| (i as usize, k))
     }
 
     /// Insert `item` with `key`, or decrease its key if already queued with
@@ -113,16 +102,13 @@ impl<K: Ord + Copy + Default, const A: usize> IndexedKaryHeap<K, A> {
     /// An *increase* of a queued item's key is ignored — exactly the
     /// behaviour Dijkstra label correction wants.
     pub fn push_or_decrease(&mut self, item: usize, key: K) -> bool {
-        if self.pos[item] == ABSENT {
-            self.keys[item] = key;
-            self.pos[item] = self.heap.len() as u32;
-            self.heap.push(item as u32);
-            self.touched.push(item as u32);
-            self.sift_up(self.heap.len() - 1);
+        let at = self.pos[item];
+        if at == ABSENT {
+            self.heap.push((key, item as u32));
+            self.sift_up(self.heap.len() - 1, (key, item as u32));
             true
-        } else if key < self.keys[item] {
-            self.keys[item] = key;
-            self.sift_up(self.pos[item] as usize);
+        } else if key < self.heap[at as usize].0 {
+            self.sift_up(at as usize, (key, item as u32));
             true
         } else {
             false
@@ -131,76 +117,240 @@ impl<K: Ord + Copy + Default, const A: usize> IndexedKaryHeap<K, A> {
 
     /// Remove and return the minimum `(item, key)`.
     pub fn pop(&mut self) -> Option<(usize, K)> {
-        let top = *self.heap.first()?;
+        let (key, top) = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0);
+            self.sift_down(0, last);
         }
         self.pos[top as usize] = ABSENT;
-        Some((top as usize, self.keys[top as usize]))
+        Some((top as usize, key))
     }
 
-    /// Empty the heap and forget all touched keys, in time proportional to
-    /// the number of items touched since the previous clear (not capacity).
+    /// Empty the heap in time proportional to the entries still queued:
+    /// popped items already reset their position.
     pub fn clear(&mut self) {
-        for &i in &self.touched {
+        for &(_, i) in &self.heap {
             self.pos[i as usize] = ABSENT;
         }
         self.heap.clear();
-        self.touched.clear();
     }
 
-    #[inline]
-    fn less(&self, a: u32, b: u32) -> bool {
-        self.keys[a as usize] < self.keys[b as usize]
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
+    /// Place `entry` at or above the hole at `i`, moving strictly larger
+    /// ancestors down into the hole.
+    fn sift_up(&mut self, mut i: usize, entry: (K, u32)) {
         while i > 0 {
             let parent = (i - 1) / A;
-            if self.less(self.heap[i], self.heap[parent]) {
-                self.swap(i, parent);
+            let up = self.heap[parent];
+            if entry.0 < up.0 {
+                self.put(i, up);
                 i = parent;
             } else {
                 break;
             }
         }
+        self.put(i, entry);
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    /// Place `entry` at or below the hole at `i`, moving the smallest
+    /// child (the earliest among equals) up while it is strictly smaller.
+    fn sift_down(&mut self, mut i: usize, entry: (K, u32)) {
+        let len = self.heap.len();
         loop {
             let first = A * i + 1;
-            if first >= self.heap.len() {
+            if first >= len {
                 break;
             }
-            let end = (first + A).min(self.heap.len());
-            let mut smallest = i;
-            for c in first..end {
-                if self.less(self.heap[c], self.heap[smallest]) {
-                    smallest = c;
+            let end = (first + A).min(len);
+            let mut best = first;
+            for c in first + 1..end {
+                if self.heap[c].0 < self.heap[best].0 {
+                    best = c;
                 }
             }
-            if smallest == i {
+            let down = self.heap[best];
+            if down.0 < entry.0 {
+                self.put(i, down);
+                i = best;
+            } else {
                 break;
             }
-            self.swap(i, smallest);
-            i = smallest;
         }
+        self.put(i, entry);
     }
 
     #[inline]
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a] as usize] = a as u32;
-        self.pos[self.heap[b] as usize] = b as u32;
+    fn put(&mut self, i: usize, entry: (K, u32)) {
+        self.heap[i] = entry;
+        self.pos[entry.1 as usize] = i as u32;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The keys-array heap this type replaced, kept as the reference for
+    /// tie order: `heap` holds item ids, keys live in `keys[item]`, and
+    /// sifts swap. Same strict comparisons, so the same pop order.
+    struct KeysArrayHeap<const A: usize> {
+        heap: Vec<u32>,
+        pos: Vec<u32>,
+        keys: Vec<u64>,
+        touched: Vec<u32>,
+    }
+
+    impl<const A: usize> KeysArrayHeap<A> {
+        fn new(capacity: usize) -> Self {
+            KeysArrayHeap {
+                heap: Vec::new(),
+                pos: vec![ABSENT; capacity],
+                keys: vec![0; capacity],
+                touched: Vec::new(),
+            }
+        }
+
+        fn push_or_decrease(&mut self, item: usize, key: u64) -> bool {
+            if self.pos[item] == ABSENT {
+                self.keys[item] = key;
+                self.pos[item] = self.heap.len() as u32;
+                self.heap.push(item as u32);
+                self.touched.push(item as u32);
+                self.sift_up(self.heap.len() - 1);
+                true
+            } else if key < self.keys[item] {
+                self.keys[item] = key;
+                self.sift_up(self.pos[item] as usize);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn pop(&mut self) -> Option<(usize, u64)> {
+            let top = *self.heap.first()?;
+            let last = self.heap.pop().expect("non-empty");
+            if !self.heap.is_empty() {
+                self.heap[0] = last;
+                self.pos[last as usize] = 0;
+                self.sift_down(0);
+            }
+            self.pos[top as usize] = ABSENT;
+            Some((top as usize, self.keys[top as usize]))
+        }
+
+        fn clear(&mut self) {
+            for &i in &self.touched {
+                self.pos[i as usize] = ABSENT;
+            }
+            self.heap.clear();
+            self.touched.clear();
+        }
+
+        fn less(&self, a: u32, b: u32) -> bool {
+            self.keys[a as usize] < self.keys[b as usize]
+        }
+
+        fn sift_up(&mut self, mut i: usize) {
+            while i > 0 {
+                let parent = (i - 1) / A;
+                if self.less(self.heap[i], self.heap[parent]) {
+                    self.swap(i, parent);
+                    i = parent;
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn sift_down(&mut self, mut i: usize) {
+            loop {
+                let first = A * i + 1;
+                if first >= self.heap.len() {
+                    break;
+                }
+                let end = (first + A).min(self.heap.len());
+                let mut smallest = i;
+                for c in first..end {
+                    if self.less(self.heap[c], self.heap[smallest]) {
+                        smallest = c;
+                    }
+                }
+                if smallest == i {
+                    break;
+                }
+                self.swap(i, smallest);
+                i = smallest;
+            }
+        }
+
+        fn swap(&mut self, a: usize, b: usize) {
+            self.heap.swap(a, b);
+            self.pos[self.heap[a] as usize] = a as u32;
+            self.pos[self.heap[b] as usize] = b as u32;
+        }
+    }
+
+    /// A fixed op stream with heavy key ties (keys drawn from 0..8):
+    /// the full `(item, key)` pop sequence, push/decrease verdicts and
+    /// peeks must equal the keys-array heap's, clears included.
+    fn tie_order_parity<const A: usize>() {
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let cap = 96usize;
+        let mut h: IndexedKaryHeap<u64, A> = IndexedKaryHeap::new(cap);
+        let mut reference: KeysArrayHeap<A> = KeysArrayHeap::new(cap);
+        let mut pops = 0usize;
+        for step in 0..40_000 {
+            let r = next();
+            match r % 16 {
+                0..=8 => {
+                    let item = (r >> 8) as usize % cap;
+                    let key = (r >> 32) % 8;
+                    assert_eq!(
+                        h.push_or_decrease(item, key),
+                        reference.push_or_decrease(item, key),
+                        "push verdict diverged at step {step}"
+                    );
+                }
+                9..=14 => {
+                    let got = h.pop();
+                    assert_eq!(got, reference.pop(), "pop diverged at step {step}");
+                    pops += usize::from(got.is_some());
+                }
+                _ if r % 97 == 0 => {
+                    h.clear();
+                    reference.clear();
+                }
+                _ => {}
+            }
+            assert_eq!(h.len(), reference.heap.len());
+            let want = reference
+                .heap
+                .first()
+                .map(|&i| (i as usize, reference.keys[i as usize]));
+            assert_eq!(h.peek(), want, "peek diverged at step {step}");
+        }
+        while let Some(got) = h.pop() {
+            assert_eq!(Some(got), reference.pop());
+        }
+        assert_eq!(reference.pop(), None);
+        assert!(pops > 10_000, "the stream must exercise pops");
+    }
+
+    #[test]
+    fn tie_order_matches_keys_array_heap_binary() {
+        tie_order_parity::<2>();
+    }
+
+    #[test]
+    fn tie_order_matches_keys_array_heap_quaternary() {
+        tie_order_parity::<4>();
+    }
 
     #[test]
     fn pops_in_key_order() {
@@ -222,7 +372,6 @@ mod tests {
         h.push_or_decrease(1, 40);
         assert!(h.push_or_decrease(0, 5));
         assert!(!h.push_or_decrease(1, 100));
-        assert_eq!(h.key(1), 40);
         assert_eq!(h.pop(), Some((0, 5)));
         assert_eq!(h.pop(), Some((1, 40)));
     }
@@ -238,8 +387,6 @@ mod tests {
         assert_eq!(h.peek(), Some((2, 9)));
         h.pop();
         assert!(!h.contains(2));
-        // Final key is remembered after pop.
-        assert_eq!(h.key(2), 9);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! full [`DenseDijkstra`](crate::DenseDijkstra) would be wasteful, and it
 //! serves as an independent oracle in the test suites.
 
-use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
+use kpj_graph::scratch::SearchLabels;
 use kpj_graph::{Graph, Length, NodeId, INFINITE_LENGTH};
 use kpj_heap::IndexedMinHeap;
 
@@ -22,43 +22,36 @@ pub struct BidirectionalDijkstra {
 #[derive(Debug)]
 struct Side {
     heap: IndexedMinHeap<Length>,
-    dist: TimestampedMap<Length>,
-    parent: TimestampedMap<NodeId>,
-    settled: TimestampedSet,
+    labels: SearchLabels,
 }
 
 impl Side {
     fn new(n: usize) -> Self {
         Side {
             heap: IndexedMinHeap::new(n),
-            dist: TimestampedMap::new(n, INFINITE_LENGTH),
-            parent: TimestampedMap::new(n, NO_PARENT),
-            settled: TimestampedSet::new(n),
+            labels: SearchLabels::new(n),
         }
     }
 
     fn reset(&mut self, seed: NodeId) {
         self.heap.clear();
-        self.dist.reset();
-        self.parent.reset();
-        self.settled.clear();
-        self.dist.set(seed as usize, 0);
+        self.labels.reset();
+        self.labels.set_root(seed as usize, 0);
         self.heap.push_or_decrease(seed as usize, 0);
     }
 
     /// Settle one node and relax its edges; returns the settled node.
     fn step(&mut self, g: &Graph, dir: Direction) -> Option<(NodeId, Length)> {
         let (u, du) = self.heap.pop()?;
-        self.settled.insert(u);
+        self.labels.settle(u);
         for e in dir.edges(g, u as NodeId) {
             let v = e.to as usize;
-            if self.settled.contains(v) {
+            if self.labels.is_settled(v) {
                 continue;
             }
             let nd = du.saturating_add(e.weight as Length);
-            if nd < self.dist.get(v) {
-                self.dist.set(v, nd);
-                self.parent.set(v, u as NodeId);
+            if nd < self.labels.dist(v) {
+                self.labels.set(v, nd, u as NodeId);
                 self.heap.push_or_decrease(v, nd);
             }
         }
@@ -122,7 +115,7 @@ impl BidirectionalDijkstra {
                 (&mut self.bwd, &self.fwd, Direction::Backward)
             };
             if let Some((u, du)) = side.step(g, dir) {
-                let od = other.dist.get(u as usize);
+                let od = other.labels.dist(u as usize);
                 if od != INFINITE_LENGTH {
                     let total = du + od;
                     if total < best {
@@ -139,7 +132,7 @@ impl BidirectionalDijkstra {
         let mut cur = meet;
         loop {
             nodes.push(cur);
-            let p = self.fwd.parent.get(cur as usize);
+            let p = self.fwd.labels.parent(cur as usize);
             if p == NO_PARENT {
                 break;
             }
@@ -147,8 +140,8 @@ impl BidirectionalDijkstra {
         }
         nodes.reverse();
         let mut cur = meet;
-        while self.bwd.parent.get(cur as usize) != NO_PARENT {
-            cur = self.bwd.parent.get(cur as usize);
+        while self.bwd.labels.parent(cur as usize) != NO_PARENT {
+            cur = self.bwd.labels.parent(cur as usize);
             nodes.push(cur);
         }
         debug_assert_eq!(nodes.first(), Some(&s));

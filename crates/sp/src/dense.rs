@@ -5,8 +5,7 @@ use kpj_heap::IndexedMinHeap;
 
 use crate::Direction;
 
-/// Parent sentinel: the node is a search root or unreached.
-pub const NO_PARENT: NodeId = NodeId::MAX;
+pub use kpj_graph::scratch::NO_PARENT;
 
 /// Result of a whole-graph Dijkstra: dense `δ` and parent arrays.
 ///

@@ -1,16 +1,16 @@
 //! Reusable constrained, bounded best-first search (Dijkstra / A\*).
 
-use kpj_graph::scratch::{TimestampedMap, TimestampedSet};
-use kpj_graph::{EdgeRef, Graph, Length, NodeId, INFINITE_LENGTH};
+use kpj_graph::scratch::SearchLabels;
+use kpj_graph::{EdgeRef, Graph, Length, NodeId};
 use kpj_heap::IndexedKaryHeap;
 
 use crate::{Direction, NO_PARENT};
 
-/// Frontier-heap arity of the hot search loop. Dijkstra/A\* is
+/// Frontier-heap arity of the constrained subspace search. Dijkstra/A\* is
 /// decrease-key-heavy (`sift_up`: one comparison per level), so a wider,
 /// shallower heap wins over binary; 4 measured best in
-/// `crates/heap/examples/heap_arity.rs`. Binary [`kpj_heap::IndexedMinHeap`]
-/// remains the workspace default for the colder queues.
+/// `crates/heap/examples/heap_arity.rs`. The other searches, `SPT_I`'s
+/// A\* among them, use binary [`kpj_heap::IndexedMinHeap`].
 const SEARCH_HEAP_ARITY: usize = 4;
 
 /// How many settles elapse between polls of the `cancel` hook of
@@ -101,9 +101,7 @@ pub enum SearchOrder {
 #[derive(Debug)]
 pub struct Searcher {
     heap: IndexedKaryHeap<Length, SEARCH_HEAP_ARITY>,
-    dist: TimestampedMap<Length>,
-    parent: TimestampedMap<NodeId>,
-    settled: TimestampedSet,
+    labels: SearchLabels,
     settled_count: usize,
     relaxed_edges: usize,
     pruned_count: usize,
@@ -114,9 +112,7 @@ impl Searcher {
     pub fn new(n: usize) -> Self {
         Searcher {
             heap: IndexedKaryHeap::new(n),
-            dist: TimestampedMap::new(n, INFINITE_LENGTH),
-            parent: TimestampedMap::new(n, NO_PARENT),
-            settled: TimestampedSet::new(n),
+            labels: SearchLabels::new(n),
             settled_count: 0,
             relaxed_edges: 0,
             pruned_count: 0,
@@ -125,7 +121,7 @@ impl Searcher {
 
     /// Node universe size.
     pub fn capacity(&self) -> usize {
-        self.settled.capacity()
+        self.labels.capacity()
     }
 
     /// Run a search. See the type-level docs for the callback contracts.
@@ -179,9 +175,7 @@ impl Searcher {
         mut cancel: impl FnMut() -> bool,
     ) -> SearchOutcome {
         self.heap.clear();
-        self.dist.reset();
-        self.parent.reset();
-        self.settled.clear();
+        self.labels.reset();
         self.settled_count = 0;
         self.relaxed_edges = 0;
         let mut prunes = 0usize;
@@ -213,9 +207,9 @@ impl Searcher {
 
         let outcome = 'run: {
             for (s, d0) in sources {
-                if d0 < self.dist.get(s as usize) {
+                if d0 < self.labels.dist(s as usize) {
                     if let Some(f) = admit(s, d0, &mut prunes) {
-                        self.dist.set(s as usize, d0);
+                        self.labels.set_root(s as usize, d0);
                         self.heap.push_or_decrease(s as usize, f);
                     }
                 }
@@ -223,12 +217,11 @@ impl Searcher {
 
             while let Some((u, _f)) = self.heap.pop() {
                 let u_node = u as NodeId;
-                self.settled.insert(u);
+                let du = self.labels.settle(u);
                 self.settled_count += 1;
                 if self.settled_count.is_multiple_of(CANCEL_POLL_STRIDE) && cancel() {
                     break 'run SearchOutcome::Aborted;
                 }
-                let du = self.dist.get(u);
                 if is_goal(u_node) {
                     break 'run SearchOutcome::Found {
                         node: u_node,
@@ -238,14 +231,13 @@ impl Searcher {
                 for &e in direction.edges(g, u_node) {
                     self.relaxed_edges += 1;
                     let v = e.to as usize;
-                    if self.settled.contains(v) || !edge_filter(u_node, e) {
+                    if self.labels.is_settled(v) || !edge_filter(u_node, e) {
                         continue;
                     }
                     let nd = du.saturating_add(e.weight as Length);
-                    if nd < self.dist.get(v) {
+                    if nd < self.labels.dist(v) {
                         if let Some(f) = admit(e.to, nd, &mut prunes) {
-                            self.dist.set(v, nd);
-                            self.parent.set(v, u_node);
+                            self.labels.set(v, nd, u_node);
                             self.heap.push_or_decrease(v, f);
                         }
                     }
@@ -265,13 +257,13 @@ impl Searcher {
     /// The (final, if settled) distance label of `v` from the last search.
     #[inline]
     pub fn dist(&self, v: NodeId) -> Length {
-        self.dist.get(v as usize)
+        self.labels.dist(v as usize)
     }
 
     /// True if `v` was settled in the last search.
     #[inline]
     pub fn is_settled(&self, v: NodeId) -> bool {
-        self.settled.contains(v as usize)
+        self.labels.is_settled(v as usize)
     }
 
     /// Number of nodes settled in the last search (the paper's exploration
@@ -297,7 +289,7 @@ impl Searcher {
     /// [`chain_to_root`](Searcher::chain_to_root).
     #[inline]
     pub fn parent(&self, v: NodeId) -> NodeId {
-        self.parent.get(v as usize)
+        self.labels.parent(v as usize)
     }
 
     /// The parent-pointer chain `v, parent(v), …, root` from the last
@@ -308,14 +300,14 @@ impl Searcher {
     /// Panics if `v` carries no label from the last search.
     pub fn extend_chain_to_root(&self, v: NodeId, buf: &mut Vec<NodeId>) -> usize {
         assert!(
-            self.dist.is_set(v as usize),
+            self.labels.is_labeled(v as usize),
             "node {v} was not labeled in the last search"
         );
         let before = buf.len();
         buf.push(v);
         let mut cur = v;
-        while self.parent.get(cur as usize) != NO_PARENT {
-            cur = self.parent.get(cur as usize);
+        while self.parent(cur) != NO_PARENT {
+            cur = self.parent(cur);
             buf.push(cur);
         }
         buf.len() - before
@@ -328,13 +320,13 @@ impl Searcher {
     /// Panics if `v` carries no label from the last search.
     pub fn chain_to_root(&self, v: NodeId) -> Vec<NodeId> {
         assert!(
-            self.dist.is_set(v as usize),
+            self.labels.is_labeled(v as usize),
             "node {v} was not labeled in the last search"
         );
         let mut chain = vec![v];
         let mut cur = v;
-        while self.parent.get(cur as usize) != NO_PARENT {
-            cur = self.parent.get(cur as usize);
+        while self.parent(cur) != NO_PARENT {
+            cur = self.parent(cur);
             chain.push(cur);
         }
         chain
@@ -648,6 +640,6 @@ mod tests {
         let mut chain = s.chain_to_root(3);
         chain.reverse();
         assert_eq!(chain, vec![1, 2, 3]);
-        assert!(!s.dist.is_set(0));
+        assert!(!s.labels.is_labeled(0));
     }
 }
