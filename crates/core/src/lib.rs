@@ -53,7 +53,6 @@ mod deviation;
 mod engine;
 pub mod general;
 pub mod offline;
-mod par;
 mod paradigms;
 mod pseudo_tree;
 pub mod reference;

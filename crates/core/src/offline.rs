@@ -1,43 +1,23 @@
-//! Offline index construction on the intra-query worker pool.
+//! Parallel offline index construction.
 //!
 //! Landmark builds for multi-million-node graphs are dominated by `|L|`
-//! independent whole-graph Dijkstra runs. This module reuses
-//! [`ParPool`](crate::par) — the same persistent worker pool that powers
-//! parallel deviation rounds — to fan those runs across threads, while
-//! [`LandmarkIndex::build_with_solver`] keeps the *selection* sequence
-//! (and hence the resulting index) bit-identical to the sequential
-//! [`LandmarkIndex::build`] for every `(strategy, seed)`.
+//! independent whole-graph Dijkstra runs. This module fans those runs
+//! across scoped threads, while [`LandmarkIndex::build_with_solver`]
+//! keeps the *selection* sequence (and hence the resulting index)
+//! bit-identical to the sequential [`LandmarkIndex::build`] for every
+//! `(strategy, seed)`.
 
 use kpj_graph::{Graph, Length, NodeId};
 use kpj_landmark::{LandmarkIndex, SelectionStrategy};
 use kpj_sp::DenseDijkstra;
 
-use crate::par::ParPool;
-
-/// One landmark table row: a source node and the disjoint output chunk
-/// its distances go to. Raw pointer + length because `scatter` shares the
-/// items immutably across workers while each task writes only its own
-/// chunk.
-struct Row {
-    source: NodeId,
-    out: *mut Length,
-    len: usize,
-}
-
-// SAFETY: each `Row` addresses a disjoint chunk of one `&mut [Length]`
-// borrow held by the (blocked) dispatching thread; exactly one worker
-// task writes through each pointer.
-unsafe impl Send for Row {}
-unsafe impl Sync for Row {}
-
 /// Build a landmark index using up to `threads` worker threads for the
 /// shortest-path table rows (`0` = all available cores).
 ///
 /// The result is **bit-identical** to
-/// `LandmarkIndex::build(g, count, strategy, seed)` — thread count changes
-/// wall-clock, never the index (the same guarantee the query engine gives
-/// for parallel deviation rounds; `check_parallel` in the oracle enforces
-/// it there, `parallel_build_matches_sequential` below enforces it here).
+/// `LandmarkIndex::build(g, count, strategy, seed)`: thread count changes
+/// wall-clock, never the index (`parallel_build_matches_sequential` below
+/// enforces it).
 pub fn build_landmarks_parallel(
     g: &Graph,
     count: usize,
@@ -55,30 +35,20 @@ pub fn build_landmarks_parallel(
     if threads <= 1 || count <= 1 {
         return LandmarkIndex::build(g, count, strategy, seed);
     }
-    // Worker scratch is sized for intra-query searches; the offline build
-    // only uses the threads, so size it for an empty graph.
-    let pool = ParPool::new(threads, 0);
-    let solver = move |g2: &Graph, sources: &[NodeId], out: &mut [Length]| {
+    // Each thread solves a contiguous run of rows into its own disjoint
+    // chunk of `out`.
+    let solver = |g2: &Graph, sources: &[NodeId], out: &mut [Length]| {
         let n = g2.node_count();
         debug_assert_eq!(out.len(), sources.len() * n);
-        if sources.len() == 1 {
-            out.copy_from_slice(DenseDijkstra::from_source(g2, sources[0]).dist_slice());
-            return;
-        }
-        let rows: Vec<Row> = sources
-            .iter()
-            .zip(out.chunks_mut(n))
-            .map(|(&source, chunk)| Row {
-                source,
-                out: chunk.as_mut_ptr(),
-                len: chunk.len(),
-            })
-            .collect();
-        pool.scatter(&rows, |_, row| {
-            let d = DenseDijkstra::from_source(g2, row.source);
-            // SAFETY: see `Row` — chunks are disjoint, one writer each.
-            let chunk = unsafe { std::slice::from_raw_parts_mut(row.out, row.len) };
-            chunk.copy_from_slice(d.dist_slice());
+        let per = sources.len().div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            for (group, rows) in sources.chunks(per).zip(out.chunks_mut(per * n)) {
+                scope.spawn(move || {
+                    for (&source, row) in group.iter().zip(rows.chunks_mut(n)) {
+                        row.copy_from_slice(DenseDijkstra::from_source(g2, source).dist_slice());
+                    }
+                });
+            }
         });
     };
     LandmarkIndex::build_with_solver(g, count, strategy, seed, threads, &solver)

@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 /// `δ(sources[i], ·)` into `out[i*n .. (i+1)*n]`.
 ///
 /// The default solver runs [`DenseDijkstra`] per source sequentially;
-/// `kpj-core` provides one that fans the sources across its worker pool.
+/// `kpj-core` provides one that spreads the sources across scoped threads.
 pub type RowSolver<'a> = dyn Fn(&Graph, &[NodeId], &mut [Length]) + 'a;
 
 /// How landmarks are chosen.

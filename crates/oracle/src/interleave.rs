@@ -61,7 +61,6 @@ pub fn check_interleaving(seed: u64) -> Result<(), Violation> {
         pool: PoolConfig {
             workers: 2,
             queue_capacity: 16,
-            ..Default::default()
         },
         cache_capacity: 32,
         ..ServiceConfig::default()

@@ -34,7 +34,6 @@ fn recorded_slow_query_replays_to_the_identical_answer() {
             pool: PoolConfig {
                 workers: 1,
                 queue_capacity: 8,
-                ..Default::default()
             },
             // No cache: the query must reach the pool (and the recorder).
             cache_capacity: 0,

@@ -69,7 +69,6 @@ mod tests {
                 pool: PoolConfig {
                     workers: 1,
                     queue_capacity: 4,
-                    ..Default::default()
                 },
                 cache_capacity: 4,
                 ..ServiceConfig::default()

@@ -312,7 +312,6 @@ fn status_response(service: &KpjService, id: Json) -> String {
             Json::from(pool.queue_capacity()),
         ),
         ("executed".to_string(), Json::from(pool.executed())),
-        ("par_grants".to_string(), read(gauge::PAR_GRANTS)),
         ("rejected".to_string(), Json::from(s.rejected)),
     ]);
     let shards: Vec<Json> = service
@@ -457,7 +456,6 @@ mod tests {
             pool: PoolConfig {
                 workers: 1,
                 queue_capacity: 8,
-                ..Default::default()
             },
             cache_capacity: 16,
             ..ServiceConfig::default()

@@ -24,7 +24,6 @@ fn start_server() -> String {
             pool: PoolConfig {
                 workers: 2,
                 queue_capacity: 32,
-                ..Default::default()
             },
             cache_capacity: 32,
             ..ServiceConfig::default()

@@ -31,7 +31,6 @@ fn full_exposition_passes_the_prometheus_lint() {
             pool: PoolConfig {
                 workers: 2,
                 queue_capacity: 16,
-                ..Default::default()
             },
             cache_capacity: 16,
             ..ServiceConfig::default()

@@ -38,7 +38,6 @@ fn single_flight_computes_identical_queries_once() {
             pool: PoolConfig {
                 workers: 2,
                 queue_capacity: 64,
-                ..Default::default()
             },
             cache_capacity: 64,
             ..ServiceConfig::default()
@@ -97,7 +96,6 @@ fn permuted_node_sets_hit_the_cache() {
             pool: PoolConfig {
                 workers: 1,
                 queue_capacity: 16,
-                ..Default::default()
             },
             cache_capacity: 16,
             ..ServiceConfig::default()
@@ -149,7 +147,6 @@ fn pool_matches_single_threaded_engine_on_road_network() {
         PoolConfig {
             workers: 4,
             queue_capacity: 256,
-            ..Default::default()
         },
     );
     // Submit the whole workload before collecting so the workers truly
@@ -188,7 +185,6 @@ fn full_queue_rejects_with_overloaded() {
         PoolConfig {
             workers: 1,
             queue_capacity: 1,
-            ..Default::default()
         },
     );
 
@@ -229,7 +225,6 @@ fn deadline_expiry_does_not_poison_worker_scratch() {
             pool: PoolConfig {
                 workers: 1,
                 queue_capacity: 16,
-                ..Default::default()
             },
             cache_capacity: 16,
             ..ServiceConfig::default()

@@ -60,7 +60,6 @@ fn status_gauges_agree_with_ground_truth_under_interleaved_load() {
             pool: PoolConfig {
                 workers: 2,
                 queue_capacity: 64,
-                ..Default::default()
             },
             cache_capacity: 64,
             ..ServiceConfig::default()
@@ -189,7 +188,6 @@ fn admission_rejections_land_in_the_journal() {
         PoolConfig {
             workers: 1,
             queue_capacity: 1,
-            ..Default::default()
         },
         kpj_service::PoolHooks {
             metrics: Some(Arc::clone(&metrics)),

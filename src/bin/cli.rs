@@ -774,7 +774,7 @@ fn render_status(out: &mut String, addr: &str, s: &kpj::service::json::Json, rat
     );
     let _ = writeln!(
         out,
-        "pool     workers={} busy={} queue={} (peak {}, cap {}) executed={} rejected={} par_grants={}",
+        "pool     workers={} busy={} queue={} (peak {}, cap {}) executed={} rejected={}",
         u(&["pool", "workers"]),
         u(&["pool", "busy"]),
         u(&["pool", "queue_depth"]),
@@ -782,7 +782,6 @@ fn render_status(out: &mut String, addr: &str, s: &kpj::service::json::Json, rat
         u(&["pool", "queue_capacity"]),
         u(&["pool", "executed"]),
         u(&["pool", "rejected"]),
-        u(&["pool", "par_grants"]),
     );
     let _ = writeln!(
         out,
